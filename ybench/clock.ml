@@ -1,0 +1,4 @@
+(* Monotonic time for every measurement the benchmark takes. *)
+
+let now_ns () = Int64.to_int (Monotonic_clock.now ())
+let now () = float_of_int (now_ns ()) *. 1e-9
