@@ -515,12 +515,12 @@ let e_net { fast; seed } =
 
 (* ------------------------------------------------------------------ *)
 (* BATCH — group commit & batched coordination: write throughput and
-   latency over loopback TCP, swept across server batching x WAL
-   durability.  The batched rows and their per-request baselines run at
-   EQUAL durability: a batched fsync-mode request is only acked after its
-   batch's fsync, same promise as a per-request fsync, so any throughput
-   gap is pure amortisation (one engine lock, one flush/fsync, one
-   coordinator poke per batch instead of per statement). *)
+   latency over loopback TCP, swept across batch cap x WAL durability.
+   The drainer batches naturally — it takes whatever is queued, with no
+   linger timer — so an fsync-mode request is acked only after its batch's
+   fsync, and the group-commit win shows up as acked writes per WAL fsync
+   (one engine lock, one flush/fsync, one coordinator poke per batch
+   instead of per statement). *)
 
 let e_batch { fast; seed } =
   header
@@ -533,7 +533,7 @@ let e_batch { fast; seed } =
   say "%d writer clients x %d INSERTs, %d parked entangled queries re-checked \
        per poke"
     n_clients per_client n_parked;
-  let run_variant ~batch_writes ~fastpath ~max_batch ~durability =
+  let run_variant ~fastpath ~max_batch ~durability =
     let sys = fresh_travel ~seed ~n_flights:32 () in
     let db = Youtopia.System.database sys in
     let wal_path = Filename.temp_file "youtopia_batch" ".wal" in
@@ -555,13 +555,11 @@ let e_batch { fast; seed } =
       {
         Net.Server.default_config with
         Net.Server.port = 0;
-        batch_writes;
         fastpath;
         (* one worker per client: flusher coalescing scales with how many
            confluent commits are in flight at once *)
         fastpath_workers = n_clients;
         max_batch;
-        max_delay_us = 1_000;
       }
     in
     let server = Net.Server.start ~config sys in
@@ -613,32 +611,30 @@ let e_batch { fast; seed } =
       snap.Net.Server_stats.batch_size_mean,
       fsyncs )
   in
-  (* the legacy rows pin fastpath OFF: these blind inserts are exactly
+  (* the batched rows pin fastpath OFF: these blind inserts are exactly
      what the confluence classifier admits, and routing them around the
      batching executor would misstate what batching buys *)
   let variants =
     [
-      ("flush_per_request", false, false, 1, Wal.Flush_per_commit);
-      ("flush_batched32", true, false, 32, Wal.Flush_per_commit);
-      ("flush_fastpath", true, true, 32, Wal.Flush_per_commit);
-      ("fsync_per_request", false, false, 1, Wal.Fsync_per_commit);
-      ("fsync_batched8", true, false, 8, Wal.Fsync_per_commit);
-      ("fsync_batched32", true, false, 32, Wal.Fsync_per_commit);
-      ("fsync_fastpath", true, true, 32, Wal.Fsync_per_commit);
+      ("flush_batched32", false, 32, Wal.Flush_per_commit);
+      ("flush_fastpath", true, 32, Wal.Flush_per_commit);
+      ("fsync_batched8", false, 8, Wal.Fsync_per_commit);
+      ("fsync_batched32", false, 32, Wal.Fsync_per_commit);
+      ("fsync_fastpath", true, 32, Wal.Fsync_per_commit);
     ]
   in
   say "%20s %10s %10s %10s %11s %8s" "variant" "writes/s" "p50(us)" "p99(us)"
     "batch mean" "fsyncs";
   let results =
     List.map
-      (fun (label, batch_writes, fastpath, max_batch, durability) ->
+      (fun (label, fastpath, max_batch, durability) ->
         (* best of two trials: fsync latency on a shared disk is noisy
            enough that a single cold run can misstate a variant by 2-3x *)
         let ((qps1, _, _, _, _) as trial1) =
-          run_variant ~batch_writes ~fastpath ~max_batch ~durability
+          run_variant ~fastpath ~max_batch ~durability
         in
         let ((qps2, _, _, _, _) as trial2) =
-          run_variant ~batch_writes ~fastpath ~max_batch ~durability
+          run_variant ~fastpath ~max_batch ~durability
         in
         let qps, p50, p99, bmean, fsyncs =
           if qps2 > qps1 then trial2 else trial1
@@ -651,42 +647,32 @@ let e_batch { fast; seed } =
         record ~experiment:"BATCH" ~metric:(label ^ "_batch_mean") bmean;
         record ~experiment:"BATCH" ~metric:(label ^ "_fsyncs")
           (float_of_int fsyncs);
-        label, qps)
+        label, (qps, fsyncs))
       variants
   in
-  let qps_of l = List.assoc l results in
-  (* headline: best batched variant vs the per-request baseline at the
-     same durability (the variants differ only in max_batch tuning) *)
-  let fsync_speedup =
-    Float.max (qps_of "fsync_batched8") (qps_of "fsync_batched32")
-    /. qps_of "fsync_per_request"
+  let qps_of l = fst (List.assoc l results) in
+  (* headline: group commit — acked writes per WAL fsync under natural
+     batching.  One fsync per write (1.0) is what a per-request executor
+     does by construction *)
+  let fsync_coalesce_speedup =
+    float_of_int total
+    /. float_of_int (max 1 (snd (List.assoc "fsync_batched32" results)))
   in
-  let flush_speedup = qps_of "flush_batched32" /. qps_of "flush_per_request" in
-  record ~experiment:"BATCH" ~metric:"fsync_speedup" fsync_speedup;
-  record ~experiment:"BATCH" ~metric:"flush_speedup" flush_speedup;
-  say "  batched vs per-request, equal durability: %.2fx (fsync), %.2fx \
-       (flush)"
-    fsync_speedup flush_speedup;
-  say "  (the fsync gap is group commit: one disk barrier per batch instead";
-  say "   of one per statement; the flush gap is lock + poke amortisation)";
-  (* headline 2: coordination avoidance — confluent writes through the
-     shared-latch fast path vs the per-request exclusive baseline at
-     equal durability.  The batched-executor ratio is recorded too: on a
-     single-runtime-lock OCaml the shared-lock path has no real
-     parallelism to spend, so the batch barrier's per-request
-     amortisation still wins (see DESIGN.md §14) *)
-  let fastpath_speedup =
-    qps_of "fsync_fastpath" /. qps_of "fsync_per_request"
-  in
+  record ~experiment:"BATCH" ~metric:"fsync_coalesce_speedup"
+    fsync_coalesce_speedup;
+  say "  group commit: %.2f acked writes per WAL fsync (fsync_batched32)"
+    fsync_coalesce_speedup;
+  (* coordination avoidance — confluent writes through the shared-latch
+     fast path vs the batching executor at equal durability.  All threads
+     share one OCaml domain, so the shared-lock path has no real
+     parallelism to spend and the batch's amortisation usually wins (see
+     DESIGN.md §14); recorded, not gated *)
   let fastpath_vs_batched =
     qps_of "fsync_fastpath" /. qps_of "fsync_batched32"
   in
-  record ~experiment:"BATCH" ~metric:"fastpath_speedup" fastpath_speedup;
   record ~experiment:"BATCH" ~metric:"fastpath_vs_batched" fastpath_vs_batched;
-  say "  fast path vs per-request exclusive, fsync durability: %.2fx \
-       (no global lock, flusher-coalesced fsyncs); vs the batched \
-       exclusive executor: %.2fx"
-    fastpath_speedup fastpath_vs_batched
+  say "  fast path vs the batching executor, fsync durability: %.2fx"
+    fastpath_vs_batched
 
 (* ------------------------------------------------------------------ *)
 (* Microbenchmarks of the engine primitives (supporting table). *)
@@ -818,15 +804,15 @@ let inc_variant ~fast ~use_plan_cache ~use_dirty_poke =
     per_poke (stats.Core.Stats.groundings - g0),
     retries )
 
-(* Part 2: read-only throughput over loopback TCP — the engine rwlock vs
-   the serialize-everything baseline.  OCaml system threads share one
-   domain, so readers interleave rather than run in parallel; the win is
-   not queueing behind mutations and the counters show the contention. *)
+(* Part 2: read-only throughput over loopback TCP under the engine
+   rwlock's shared mode.  OCaml system threads share one domain, so
+   readers interleave rather than run in parallel; the wait counters show
+   the contention. *)
 let inc_read_path { fast; seed = _ } =
   let n_clients = 8 in
   let per_client = if fast then 50 else 200 in
   let n_rows = 512 in
-  let run_mode ~serialize_reads =
+  let qps, snap =
     let sys = Youtopia.System.create () in
     let db = Youtopia.System.database sys in
     let items =
@@ -837,9 +823,7 @@ let inc_read_path { fast; seed = _ } =
     for i = 0 to n_rows - 1 do
       ignore (Table.insert items [| Value.Int i; Value.Int (i * 7) |])
     done;
-    let config =
-      { Net.Server.default_config with Net.Server.port = 0; serialize_reads }
-    in
+    let config = { Net.Server.default_config with Net.Server.port = 0 } in
     let server = Net.Server.start ~config sys in
     let port = Net.Server.port server in
     let elapsed, () =
@@ -868,23 +852,11 @@ let inc_read_path { fast; seed = _ } =
     Net.Server.stop server;
     float_of_int (n_clients * per_client) /. elapsed, snap
   in
-  let qps_rw, snap_rw = run_mode ~serialize_reads:false in
-  let qps_ser, snap_ser = run_mode ~serialize_reads:true in
-  say "read-only loopback throughput, %d clients x %d SELECTs:" n_clients
-    per_client;
-  say "%24s %12s %14s %14s" "mode" "queries/s" "read waits" "write waits";
-  say "%24s %12.0f %14d %14d" "rwlock (shared reads)" qps_rw
-    snap_rw.Net.Server_stats.engine_read_waits
-    snap_rw.Net.Server_stats.engine_write_waits;
-  say "%24s %12.0f %14d %14d" "global mutex baseline" qps_ser
-    snap_ser.Net.Server_stats.engine_read_waits
-    snap_ser.Net.Server_stats.engine_write_waits;
-  say "  speedup: %.2fx" (qps_rw /. qps_ser);
-  say "  (system threads share one domain: reads interleave rather than";
-  say "   parallelize; the gain is not queueing behind the lock)";
-  record ~experiment:"INC" ~metric:"read_qps_rwlock" qps_rw;
-  record ~experiment:"INC" ~metric:"read_qps_serialized" qps_ser;
-  record ~experiment:"INC" ~metric:"read_speedup" (qps_rw /. qps_ser)
+  say "read-only loopback throughput, %d clients x %d SELECTs: %.0f \
+       queries/s (%d read waits, %d write waits)"
+    n_clients per_client qps snap.Net.Server_stats.engine_read_waits
+    snap.Net.Server_stats.engine_write_waits;
+  record ~experiment:"INC" ~metric:"read_qps_rwlock" qps
 
 let e_inc ({ fast; _ } as opts) =
   header
@@ -1618,15 +1590,13 @@ let e_repl { fast; seed } =
   record ~experiment:"REPL" ~metric:"recovery_speedup" (t_full /. t_ckpt)
 
 (* ------------------------------------------------------------------ *)
-(* CONN — connection scalability: poll-based event loops vs
-   thread-per-connection, at the same fd limit.  Phase 1 parks a wall of
-   idle connections (each held open after a completed HELLO); phase 2
-   runs active submitters through the wall and measures exact p99 submit
-   latency.  The thread model's ceiling is configured ([max_conns]): two
-   OS threads per connection stop being operable long before the fd
-   limit does.  The event target is derived from RLIMIT_NOFILE — each
-   loopback connection costs this process two fds (client + server end)
-   — minus a reserve for the WAL, listeners and wakeup pipes. *)
+(* CONN — connection scalability of the poll-based event loops.  Phase 1
+   parks a wall of idle connections (each held open after a completed
+   HELLO); phase 2 runs active submitters through the wall and measures
+   exact p99 submit latency.  The wall target is derived from
+   RLIMIT_NOFILE — each loopback connection costs this process two fds
+   (client + server end) — minus a reserve for the WAL, listeners and
+   wakeup pipes. *)
 
 let has_prefix p s =
   String.length s >= String.length p && String.sub s 0 (String.length p) = p
@@ -1682,13 +1652,10 @@ let nofile_limit () =
     !limit
 
 let e_conn { fast; seed } =
-  header
-    "CONN — idle-connection capacity + active p99, event loops vs \
-     thread-per-connection";
+  header "CONN — idle-connection capacity + active p99 on the event loops";
   let nofile = nofile_limit () in
   let submitters = if fast then 128 else 1000 in
   let per_submitter = 10 in
-  let thread_ceiling = if fast then 1024 else 2048 in
   let hello_frame user =
     Net.Wire.encode_request
       (Net.Wire.Hello { version = Net.Wire.protocol_version; user })
@@ -1707,16 +1674,14 @@ let e_conn { fast; seed } =
       (try Unix.close fd with Unix.Unix_error _ -> ());
       None
   in
-  let run_model ~label ~conn_model ~event_loops ~max_conns ~idle_target =
+  let label = "event" in
+  let idle_target = max 256 (min 12_000 (((nofile - 768) / 2) - submitters)) in
+  say "fd limit %d; %d active submitters x %d INSERTs; idle target %d" nofile
+    submitters per_submitter idle_target;
+  let held, p50, p99, rss, th =
     let sys = fresh_travel ~seed ~n_flights:32 () in
     let config =
-      {
-        Net.Server.default_config with
-        Net.Server.port = 0;
-        conn_model;
-        event_loops;
-        max_conns;
-      }
+      { Net.Server.default_config with Net.Server.port = 0; event_loops = 2 }
     in
     let rss0, th0 = proc_status () in
     let server = Net.Server.start ~config sys in
@@ -1779,56 +1744,15 @@ let e_conn { fast; seed } =
     let p50 = percentile latencies 0.50 *. 1e6 in
     (!held, p50, p99, max 0 (rss1 - rss0), max 0 (th1 - th0))
   in
-  let event_target =
-    max 256 (min 12_000 (((nofile - 768) / 2) - submitters))
-  in
-  let thread_target = max 64 (thread_ceiling - submitters - 4) in
-  say
-    "fd limit %d; %d active submitters x %d INSERTs; idle targets: event %d, \
-     threads %d (ceiling %d — two OS threads per connection)"
-    nofile submitters per_submitter event_target thread_target thread_ceiling;
-  say "%10s %12s %10s %10s %12s %12s" "model" "idle conns" "p50(us)"
-    "p99(us)" "rss(kB)" "threads";
-  let report label (held, p50, p99, rss, th) =
-    say "%10s %12d %10.1f %10.1f %12d %12d" label held p50 p99 rss th;
-    record ~experiment:"CONN" ~metric:(label ^ "_idle_conns")
-      (float_of_int held);
-    record ~experiment:"CONN" ~metric:(label ^ "_p50_us") p50;
-    record ~experiment:"CONN" ~metric:(label ^ "_p99_us") p99;
-    record ~experiment:"CONN" ~metric:(label ^ "_rss_kb") (float_of_int rss);
-    record ~experiment:"CONN" ~metric:(label ^ "_threads") (float_of_int th)
-  in
-  let ((th_held, _, th_p99, _, _) as threads_row) =
-    run_model ~label:"threads" ~conn_model:Net.Server.Threads ~event_loops:1
-      ~max_conns:thread_ceiling ~idle_target:thread_target
-  in
-  report "threads" threads_row;
-  (* matched load: the event core holding the *thread model's* wall — the
-     apples-to-apples latency ablation.  The capacity row below holds a
-     ~10x bigger wall, where poll(2)'s O(n) kernel scan (~250ns/fd, so
-     ~2.4ms per wait at 10k fds) dominates the latency floor: that row
-     measures what latency costs at a capacity the thread model cannot
-     reach at all. *)
-  let ((_, _, evm_p99, _, _) as event_matched_row) =
-    run_model ~label:"event_matched" ~conn_model:Net.Server.Event
-      ~event_loops:2 ~max_conns:0 ~idle_target:th_held
-  in
-  report "event_matched" event_matched_row;
-  let ((ev_held, _, _, _, _) as event_row) =
-    run_model ~label:"event" ~conn_model:Net.Server.Event ~event_loops:2
-      ~max_conns:0 ~idle_target:event_target
-  in
-  report "event" event_row;
-  let capacity_speedup = float_of_int ev_held /. float_of_int th_held in
-  let p99_speedup = th_p99 /. evm_p99 in
-  record ~experiment:"CONN" ~metric:"conn_capacity_speedup" capacity_speedup;
-  record ~experiment:"CONN" ~metric:"conn_p99_speedup" p99_speedup;
-  say
-    "  event vs threads: %.2fx the held connections at the same fd limit, \
-     %.2fx the p99 at matched load"
-    capacity_speedup p99_speedup;
-  say "  (the thread model burns two OS threads per connection; the event";
-  say "   core multiplexes its wall on %d poll loops and a batch drainer)" 2
+  say "%12s %10s %10s %12s %12s" "idle conns" "p50(us)" "p99(us)" "rss(kB)"
+    "threads";
+  say "%12d %10.1f %10.1f %12d %12d" held p50 p99 rss th;
+  record ~experiment:"CONN" ~metric:(label ^ "_idle_conns") (float_of_int held);
+  record ~experiment:"CONN" ~metric:(label ^ "_p50_us") p50;
+  record ~experiment:"CONN" ~metric:(label ^ "_p99_us") p99;
+  record ~experiment:"CONN" ~metric:(label ^ "_rss_kb") (float_of_int rss);
+  record ~experiment:"CONN" ~metric:(label ^ "_threads") (float_of_int th);
+  say "  (%d poll loops and a batch drainer multiplex the whole wall)" 2
 
 let experiments =
   [
@@ -1846,7 +1770,7 @@ let experiments =
     "BATCH", ("write batching x durability over loopback TCP", e_batch);
     "REPL", ("read replicas + checkpointed recovery", e_repl);
     "NET", ("travel workload over loopback TCP", e_net);
-    "CONN", ("connection scalability: event loops vs thread-per-conn", e_conn);
+    "CONN", ("connection scalability of the event loops", e_conn);
     "MICRO", ("engine primitive microbenchmarks", fun (_ : opts) -> e_micro ());
   ]
 

@@ -12,9 +12,8 @@
    are flushed before connections close. *)
 
 let run ~host ~port ~travel ~scenario ~seed ~wal ~read_timeout ~max_frame
-    ~durability ~max_batch ~max_delay_us ~no_batch ~no_fastpath
-    ~fastpath_workers ~replica_of ~replica_id ~conn_model ~event_loops
-    ~max_conns ~verbose =
+    ~durability ~max_batch ~no_fastpath ~fastpath_workers ~replica_of
+    ~replica_id ~event_loops ~max_conns ~verbose =
   if verbose then begin
     Logs.set_reporter (Logs_fmt.reporter ());
     Logs.Src.set_level Net.Server.log_src (Some Logs.Debug);
@@ -109,14 +108,6 @@ let run ~host ~port ~travel ~scenario ~seed ~wal ~read_timeout ~max_frame
          ^ "' (expected never|flush|fsync|group|group(N,USus))");
         exit 2)
   in
-  let conn_model =
-    match conn_model with
-    | "event" -> Net.Server.Event
-    | "threads" -> Net.Server.Threads
-    | s ->
-      prerr_endline ("unknown --conn-model '" ^ s ^ "' (expected event|threads)");
-      exit 2
-  in
   if event_loops < 1 then begin
     prerr_endline "--event-loops must be at least 1";
     exit 2
@@ -130,13 +121,10 @@ let run ~host ~port ~travel ~scenario ~seed ~wal ~read_timeout ~max_frame
       max_frame;
       durability;
       max_batch;
-      max_delay_us;
-      batch_writes = not no_batch;
       fastpath = Net.Server.default_config.Net.Server.fastpath && not no_fastpath;
       fastpath_workers;
       replica_of;
       replica_id;
-      conn_model;
       event_loops;
       max_conns;
     }
@@ -237,23 +225,6 @@ let max_batch_opt =
     & info [ "max-batch" ] ~docv:"N"
         ~doc:"Most write requests the batching drainer executes per batch.")
 
-let max_delay_us_opt =
-  Arg.(
-    value
-    & opt int Net.Server.default_config.Net.Server.max_delay_us
-    & info [ "max-delay-us" ] ~docv:"US"
-        ~doc:
-          "Microseconds the drainer holds a batch open for more writers to \
-           join.")
-
-let no_batch_flag =
-  Arg.(
-    value & flag
-    & info [ "no-batch" ]
-        ~doc:
-          "Disable write batching: every write takes the engine lock, \
-           flushes and pokes alone (the per-request baseline).")
-
 let no_fastpath_flag =
   Arg.(
     value & flag
@@ -290,21 +261,12 @@ let replica_id_opt =
     & info [ "replica-id" ] ~docv:"NAME"
         ~doc:"Name announced to the primary in the replica handshake.")
 
-let conn_model_opt =
-  Arg.(
-    value & opt string "event"
-    & info [ "conn-model" ] ~docv:"MODEL"
-        ~doc:
-          "Connection model: $(b,event) (poll-based event loops multiplexing \
-           non-blocking sockets, the default) or $(b,threads) \
-           (reader + writer thread per connection, the ablation baseline).")
-
 let event_loops_opt =
   Arg.(
     value
     & opt int Net.Server.default_config.Net.Server.event_loops
     & info [ "event-loops" ] ~docv:"N"
-        ~doc:"Event-loop worker threads under the event model.")
+        ~doc:"Event-loop worker threads multiplexing the connections.")
 
 let max_conns_opt =
   Arg.(
@@ -323,18 +285,14 @@ let cmd =
     Term.(
       const
         (fun host port travel scenario seed wal read_timeout max_frame
-             durability max_batch max_delay_us no_batch no_fastpath
-             fastpath_workers replica_of replica_id conn_model event_loops
-             max_conns verbose ->
+             durability max_batch no_fastpath fastpath_workers replica_of
+             replica_id event_loops max_conns verbose ->
           run ~host ~port ~travel ~scenario ~seed ~wal ~read_timeout ~max_frame
-            ~durability ~max_batch ~max_delay_us ~no_batch ~no_fastpath
-            ~fastpath_workers ~replica_of ~replica_id ~conn_model ~event_loops
-            ~max_conns ~verbose)
+            ~durability ~max_batch ~no_fastpath ~fastpath_workers ~replica_of
+            ~replica_id ~event_loops ~max_conns ~verbose)
       $ host_opt $ port_opt $ travel_flag $ scenario_opt $ seed_opt $ wal_opt
-      $ read_timeout_opt
-      $ max_frame_opt $ durability_opt $ max_batch_opt $ max_delay_us_opt
-      $ no_batch_flag $ no_fastpath_flag $ fastpath_workers_opt
-      $ replica_of_opt $ replica_id_opt $ conn_model_opt
-      $ event_loops_opt $ max_conns_opt $ verbose_flag)
+      $ read_timeout_opt $ max_frame_opt $ durability_opt $ max_batch_opt
+      $ no_fastpath_flag $ fastpath_workers_opt $ replica_of_opt
+      $ replica_id_opt $ event_loops_opt $ max_conns_opt $ verbose_flag)
 
 let () = exit (Cmd.eval' cmd)

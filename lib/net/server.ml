@@ -1,13 +1,10 @@
 (** TCP server exposing one shared {!Youtopia.System.t}.
 
-    Two connection models share one dispatch/executor core:
-
-    {b Event model} (default): one accept thread plus [config.event_loops]
-    event-loop workers, each multiplexing its share of {e non-blocking}
-    sockets via {!Netpoll} (a [poll(2)] stub, with a sharded-[select]
-    fallback).  Reads go through the incremental {!Wire.Decoder} so a
-    partial frame never blocks a loop; complete frames dispatch inline on
-    the loop thread.  Outbound frames queue per connection (bounded by
+    One accept thread plus [config.event_loops] event-loop workers, each
+    multiplexing its share of {e non-blocking} sockets via {!Netpoll} (a
+    [poll(2)] stub).  Reads go through the incremental {!Wire.Decoder} so
+    a partial frame never blocks a loop; complete frames dispatch inline
+    on the loop thread.  Outbound frames queue per connection (bounded by
     [max_outq] — a slow consumer is dropped, never buffered without limit)
     and are flushed by the owning loop under [POLLOUT]; a self-pipe wakeup
     lets any thread (the batch drainer's response fan-out, a coordination
@@ -19,18 +16,15 @@
     owns a parked pending query — a long coordination wait must not race
     the idle timer — as well as replica links.
 
-    {b Thread model} ([conn_model = Threads], the ablation baseline): per
-    connection, one reader thread (decoder-fed frames in, dispatch) and one
-    writer thread draining the outbound queue; [SO_RCVTIMEO] provides the
-    idle wakeup, with the same parked-query exemption.
-
     Engine work runs under a writer-preferring {!Rwlock}: read-only scripts
     and admin probes share the engine; anything that can mutate is
     exclusive, via the {b batching executor} (one lock acquisition, one WAL
     group flush, one coordinator poke per batch; responses fan out after
-    release).  SQL is parsed {i outside} the lock.  Pushes are handed off
-    from the coordinator's fulfilment path straight onto the owning
-    connection's outbound queue via {!Youtopia.Session.set_listener}.
+    release).  The drainer takes whatever is queued, with no linger timer,
+    so batches grow exactly as deep as the write queue.  SQL is parsed
+    {i outside} the lock.  Pushes are handed off from the coordinator's
+    fulfilment path straight onto the owning connection's outbound queue
+    via {!Youtopia.Session.set_listener}.
 
     Connections negotiated at protocol ≥ 2 receive bulky payloads
     (replication chunks, large results) as raw-bytes frames
@@ -39,8 +33,6 @@
 let log_src = Logs.Src.create "youtopia.net" ~doc:"Youtopia network server"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
-
-type conn_model = Event | Threads
 
 type config = {
   host : string;
@@ -52,25 +44,15 @@ type config = {
       (** frames a connection may have queued outbound before it is
           dropped as a slow consumer *)
   banner : string;
-  serialize_reads : bool;
-      (** run read-only scripts in the exclusive section too — the
-          global-mutex baseline for the concurrency benchmark *)
-  batch_writes : bool;
-      (** writer requests go through the batching drainer instead of each
-          taking the exclusive section alone *)
   fastpath : bool;
       (** route write scripts the {!Sql.Confluence} classifier proves
           invariant-confluent down the shared-lock latch path
           ({!Relational.Fastpath}) instead of the exclusive batching
-          executor; requires [batch_writes] and is ignored under
-          [serialize_reads] (the global-mutex baseline must serialize
-          everything) *)
+          executor; ignored in replica mode *)
   fastpath_workers : int;
       (** threads executing fast-path requests concurrently under the
           shared engine lock *)
   max_batch : int;  (** most write requests the drainer executes per batch *)
-  max_delay_us : int;
-      (** µs the drainer holds a batch open for more writers to join *)
   max_batchq : int;
       (** bound on queued write requests; readers block (backpressure)
           when the queue is full *)
@@ -82,11 +64,10 @@ type config = {
           a redirect naming it, and an upstream loop bootstraps from a
           streamed snapshot then tails the primary's WAL *)
   replica_id : string;  (** name announced in the replica handshake *)
-  conn_model : conn_model;
-  event_loops : int;  (** event-loop workers ([Event] model) *)
+  event_loops : int;  (** event-loop workers *)
   max_in_flight : int;
       (** batched writes one connection may have outstanding before the
-          loop drops its read interest (event-model backpressure) *)
+          loop drops its read interest (backpressure) *)
   max_conns : int;  (** refuse accepts beyond this many live conns; 0 = ∞ *)
 }
 
@@ -99,20 +80,16 @@ let default_config =
     read_timeout = 0.;
     max_outq = 1024;
     banner = "youtopia";
-    serialize_reads = false;
-    batch_writes = true;
     fastpath =
       (match Sys.getenv_opt "YOUTOPIA_FASTPATH" with
       | Some ("0" | "false" | "off" | "no") -> false
       | _ -> true);
     fastpath_workers = 2;
     max_batch = 32;
-    max_delay_us = 1_000;
     max_batchq = 256;
     durability = None;
     replica_of = None;
     replica_id = "replica";
-    conn_model = Event;
     event_loops = 1;
     max_in_flight = 64;
     max_conns = 0;
@@ -124,15 +101,11 @@ type peer =
   | Client_peer of Youtopia.Session.t
   | Replica_peer of Replication.Hub.sink
 
-(** Which flusher owns a connection's socket writes. *)
-type home = Home_threads | Home_loop of int
-
 type conn = {
   conn_id : int;
   fd : Unix.file_descr;
   outq : (bool * string) Queue.t;  (** (raw, payload) awaiting the wire *)
   out_mu : Mutex.t;
-  out_cond : Condition.t;
   mutable closing : bool;
   mutable raw : bool;  (** negotiated protocol ≥ 2: bulky frames go raw *)
   mutable in_flight : int;  (** batched writes outstanding; under [out_mu] *)
@@ -146,7 +119,7 @@ type conn = {
           ≤ 1: two fast-path requests from one connection could complete
           out of order on different workers, so the second one routes to
           the drainer (whose ticket barrier orders it after this one). *)
-  home : home;
+  home : int;  (** index of the event loop owning the socket *)
   dec : Wire.Decoder.t;
   mutable peer : peer option;
   mutable last_activity : float;
@@ -156,8 +129,6 @@ type conn = {
   mutable wbuf : Bytes.t;
   mutable woff : int;
   mutable wlen : int;
-  mutable reader : Thread.t option;  (** thread model only *)
-  mutable writer : Thread.t option;  (** thread model only *)
 }
 
 (** One writer request parked in the batch queue: everything the drainer
@@ -226,8 +197,7 @@ type t = {
           poke is still owed; the drainer runs the poke under the
           exclusive lock (fulfilment mutates tables) and resets this *)
   (* event core *)
-  netpoll : Netpoll.engine;
-  loops : loop array;  (** empty under the thread model *)
+  loops : loop array;
   mutable next_loop : int;  (** round-robin adoption cursor *)
   mutable loops_running : bool;
       (** loops outlive [running] so the drainer's final fan-out still
@@ -270,15 +240,12 @@ let with_engine t f =
   r
 
 let with_engine_read t f =
-  if t.config.serialize_reads then with_engine t f
-  else begin
-    let waited = ref false in
-    let r =
-      Rwlock.with_read ~on_wait:(fun () -> waited := true) t.engine_lock f
-    in
-    Server_stats.on_engine_read t.stats ~waited:!waited;
-    r
-  end
+  let waited = ref false in
+  let r =
+    Rwlock.with_read ~on_wait:(fun () -> waited := true) t.engine_lock f
+  in
+  Server_stats.on_engine_read t.stats ~waited:!waited;
+  r
 
 (** Shared-writer mode: fast-path workers mutate tables under latches, so
     they may run alongside each other but never alongside readers (which
@@ -312,16 +279,11 @@ let wake lp =
     try ignore (Unix.write lp.lp_wake_w wake_byte 0 1)
     with Unix.Unix_error _ -> ()
 
-let wake_home t conn =
-  match conn.home with
-  | Home_threads -> ()
-  | Home_loop i -> if i < Array.length t.loops then wake t.loops.(i)
-
-(** Enqueue one (raw, payload) frame for the connection's flusher, bounded
+(** Enqueue one (raw, payload) frame for the owning loop to flush, bounded
     by [config.max_outq]: a peer that stops reading while frames keep
     arriving is dropped rather than buffered without limit.  The fd
-    shutdown kicks a blocked thread-model writer and surfaces as an error
-    readiness bit to an event loop, so normal teardown runs either way. *)
+    shutdown surfaces as an error readiness bit to the loop, so normal
+    teardown runs. *)
 let enqueue t conn item =
   Mutex.lock conn.out_mu;
   let overflow =
@@ -329,12 +291,10 @@ let enqueue t conn item =
     else if Queue.length conn.outq >= t.config.max_outq then begin
       conn.closing <- true;
       Queue.clear conn.outq;
-      Condition.signal conn.out_cond;
       true
     end
     else begin
       Queue.push item conn.outq;
-      Condition.signal conn.out_cond;
       false
     end
   in
@@ -346,7 +306,7 @@ let enqueue t conn item =
           t.config.max_outq);
     try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ()
   end;
-  wake_home t conn
+  wake t.loops.(conn.home)
 
 (** Encode and enqueue: bulky responses go raw when the connection
     negotiated protocol ≥ 2, the escaped text codec otherwise. *)
@@ -356,37 +316,6 @@ let send t conn response =
     Server_stats.on_raw_frame_out t.stats;
     enqueue t conn (true, payload)
   | None -> enqueue t conn (false, Wire.encode_response response)
-
-(** Thread-model writer body: drain the queue to the socket; exit once the
-    connection is closing {i and} the queue is empty, so queued frames
-    (final errors, goodbye-time pushes) still reach the peer. *)
-let writer_loop t conn =
-  let rec next () =
-    Mutex.lock conn.out_mu;
-    let rec wait () =
-      if Queue.is_empty conn.outq && not conn.closing then begin
-        Condition.wait conn.out_cond conn.out_mu;
-        wait ()
-      end
-    in
-    wait ();
-    let item = if Queue.is_empty conn.outq then None else Some (Queue.pop conn.outq) in
-    Mutex.unlock conn.out_mu;
-    match item with
-    | None -> () (* closing and drained *)
-    | Some (raw, payload) ->
-      (match Wire.write_frame ~max_frame:t.config.max_frame ~raw conn.fd payload with
-      | () ->
-        Server_stats.on_frame_out t.stats ~bytes:(String.length payload + 4);
-        next ()
-      | exception (Wire.Closed | Wire.Protocol_error _ | Unix.Unix_error _) ->
-        (* peer gone or unwritable: stop draining; the reader notices EOF *)
-        Mutex.lock conn.out_mu;
-        conn.closing <- true;
-        Queue.clear conn.outq;
-        Mutex.unlock conn.out_mu)
-  in
-  next ()
 
 (* A failpoint on a loop seam: [Error] condemns the one connection under
    the seam (the loop itself must survive), [Delay] stalls the loop,
@@ -623,15 +552,14 @@ let execute_batch t batch =
   (* replicas ride the same fan-out discipline as client responses *)
   hub_flush t
 
-(** Drainer thread: wait for write requests, let concurrent writers pile
-    in (holding a lone request open up to [max_delay_us]), then execute up
-    to [max_batch] of them as one batch.  Keeps draining after {!stop}
-    flips [running] until the queue is empty, so accepted requests are
-    never dropped. *)
+(** Drainer thread: wait for write requests, then execute whatever is
+    queued — up to [max_batch] of them — as one batch.  There is no linger
+    timer: executing one batch is the accumulation window for the next, so
+    group commit comes naturally whenever writers queue faster than a
+    batch commits, and a lone writer never waits for company that is not
+    coming.  Keeps draining after {!stop} flips [running] until the queue
+    is empty, so accepted requests are never dropped. *)
 let drainer_loop t =
-  let slice =
-    Float.min 2e-4 (Float.max 5e-5 (float_of_int t.config.max_delay_us /. 1e6 /. 4.))
-  in
   Mutex.lock t.batch_mu;
   let rec loop () =
     if
@@ -674,31 +602,6 @@ let drainer_loop t =
       (* else: stopped and drained — exit *)
     end
     else begin
-      (* Hold the batch open only when the system looks idle (a single
-         queued request): waiting helps an isolated writer's batch pick up
-         stragglers.  When requests are already piled up, drain and go —
-         execution time of this batch is the accumulation window for the
-         next one (natural batching), and waiting out the timer would just
-         add latency without growing the batch (the writers whose requests
-         we hold are blocked on their responses). *)
-      (if t.config.max_delay_us > 0 && Queue.length t.batchq <= 1 then begin
-         let deadline =
-           Unix.gettimeofday () +. (float_of_int t.config.max_delay_us /. 1e6)
-         in
-         let rec gather () =
-           if
-             t.running
-             && Queue.length t.batchq <= 1
-             && Unix.gettimeofday () < deadline
-           then begin
-             Mutex.unlock t.batch_mu;
-             Thread.delay slice;
-             Mutex.lock t.batch_mu;
-             gather ()
-           end
-         in
-         gather ()
-       end);
       let batch = ref [] in
       let n = ref 0 in
       while (not (Queue.is_empty t.batchq)) && !n < t.config.max_batch do
@@ -823,8 +726,8 @@ let execute_fastpath t wr =
     ins + cnt + del
   | None ->
     (* the classifier said no: the whole script runs under the exclusive
-       lock, on this worker, like the non-batched inline path — never
-       under the shared lock it was admitted for *)
+       lock, on this worker — never under the shared lock it was admitted
+       for *)
     coord_stats.Core.Stats.fastpath_rejects <-
       coord_stats.Core.Stats.fastpath_rejects + 1;
     Server_stats.on_fastpath_reject t.stats;
@@ -913,11 +816,10 @@ let try_enqueue_fastpath t wr =
   Mutex.unlock t.batch_mu;
   admitted
 
-(** Reader-side enqueue with backpressure: a full batch queue blocks the
-    enqueuing thread — a thread-model reader, or (global backpressure) a
-    whole event loop — until the drainer makes room.  On success the
-    connection's in-flight count grows; the drainer's fan-out releases
-    it. *)
+(** Loop-side enqueue with backpressure: a full batch queue blocks the
+    enqueuing event loop (global backpressure) until the drainer makes
+    room.  On success the connection's in-flight count grows; the
+    drainer's fan-out releases it. *)
 let enqueue_write t wr =
   Mutex.lock t.batch_mu;
   while t.running && Queue.length t.batchq >= t.config.max_batchq do
@@ -948,10 +850,8 @@ let enqueue_write t wr =
 
 (** Submit dispatch.  Parsing happens on the dispatching thread, outside
     any lock.  Read-only scripts run inline under the shared lock.  Writes
-    either enqueue for the batching drainer (responses sent by the
-    drainer) or — with [batch_writes] off — run inline under the
-    exclusive lock, poking the coordinator themselves after DML so both
-    paths are observationally equivalent. *)
+    enqueue for the batching drainer (or, when confluent, the fast-path
+    workers), which send the responses. *)
 let handle_submit t conn session ~id ~sql =
   let t0 = Unix.gettimeofday () in
   match Relational.Errors.guard (fun () -> Sql.Parser.parse_script sql) with
@@ -986,7 +886,7 @@ let handle_submit t conn session ~id ~sql =
       Server_stats.on_submit t.stats ~latency:(Unix.gettimeofday () -. t0);
       send t conn response
     end
-    else if t.config.batch_writes then begin
+    else begin
       let wr =
         { wr_conn = conn; wr_session = session; wr_id = id; wr_stmts = stmts;
           wr_t0 = t0 }
@@ -997,24 +897,10 @@ let handle_submit t conn session ~id ~sql =
          worker; admission can still fail on the connection's routing
          slots (program order) or at shutdown. *)
       let fastpath_ok =
-        t.config.fastpath
-        && (not t.config.serialize_reads)
-        && List.for_all Sql.Confluence.prescreen stmts
+        t.config.fastpath && List.for_all Sql.Confluence.prescreen stmts
       in
       if not (fastpath_ok && try_enqueue_fastpath t wr) then
         enqueue_write t wr
-    end
-    else begin
-      (* per-request exclusive baseline (`batch_writes = false`) *)
-      let response =
-        with_engine t (fun () ->
-            let response, dml = exec_write_script t session ~id stmts in
-            if dml > 0 then ignore (Youtopia.System.poke t.sys);
-            response)
-      in
-      Server_stats.on_submit t.stats ~latency:(Unix.gettimeofday () -. t0);
-      send t conn response;
-      hub_flush t
     end
 
 let handle_cancel t ~id ~query_id =
@@ -1130,7 +1016,7 @@ let handle_admin t ~id ~what =
     Server_stats.on_error t.stats;
     Wire.Error { id; message = "unknown admin probe: " ^ other }
 
-(* ---------------- handshake and dispatch (both models) ---------------- *)
+(* ---------------- handshake and dispatch ---------------- *)
 
 exception Goodbye
 
@@ -1140,12 +1026,10 @@ exception Goodbye
     would reconnect with the same LSN and re-trip it forever, so a
     snapshot or catch-up larger than [max_outq] frames could never sync.
     The burst is the server's own doing, not evidence of a slow consumer:
-    on a loop-owned connection we {e are} the loop thread (the handshake
-    dispatches inline), so flush directly, waiting for writability when
-    the socket blocks; on a thread-model connection the writer thread
-    drains concurrently, so just wait for it to make room.  A replica
-    that genuinely stops reading still gets dropped: no queue progress
-    for [stall_limit] seconds is the slow-consumer verdict. *)
+    we {e are} the owning loop thread (the handshake dispatches inline),
+    so flush directly, waiting for writability when the socket blocks.  A
+    replica that genuinely stops reading still gets dropped: no queue
+    progress for [stall_limit] seconds is the slow-consumer verdict. *)
 let bootstrap_send t conn response =
   let high_water = max 1 (t.config.max_outq / 2) in
   let stall_limit = 30. in
@@ -1163,47 +1047,36 @@ let bootstrap_send t conn response =
     Mutex.lock conn.out_mu;
     conn.closing <- true;
     Queue.clear conn.outq;
-    Condition.signal conn.out_cond;
     Mutex.unlock conn.out_mu;
     (try Unix.shutdown conn.fd Unix.SHUTDOWN_ALL with Unix.Unix_error _ -> ());
     raise Wire.Closed
   in
-  (match conn.home with
-  | Home_loop _ ->
-    let rec drain ~stalled last =
-      if conn.closing then raise Wire.Closed
-      else if last >= high_water then begin
-        match event_flush t conn with
-        | `Dead ->
-          Mutex.lock conn.out_mu;
-          conn.closing <- true;
-          Mutex.unlock conn.out_mu;
-          raise Wire.Closed
-        | `Ok ->
-          let n = qlen () in
-          if n >= high_water then
-            if n < last then drain ~stalled:0. n
-            else if stalled >= stall_limit then drop_stalled ()
-            else begin
-              (try ignore (Unix.select [] [ conn.fd ] [] 0.5)
-               with Unix.Unix_error _ -> ());
-              drain ~stalled:(stalled +. 0.5) n
-            end
-      end
-    in
-    drain ~stalled:0. (qlen ())
-  | Home_threads ->
-    let rec wait ~stalled last =
-      if conn.closing then raise Wire.Closed
-      else if last >= high_water then begin
-        Thread.delay 0.002;
+  let rec drain ~stalled last =
+    if conn.closing then raise Wire.Closed
+    else if last >= high_water then begin
+      match event_flush t conn with
+      | `Dead ->
+        Mutex.lock conn.out_mu;
+        conn.closing <- true;
+        Mutex.unlock conn.out_mu;
+        raise Wire.Closed
+      | `Ok ->
         let n = qlen () in
-        if n < last then wait ~stalled:0. n
-        else if stalled >= stall_limit then drop_stalled ()
-        else wait ~stalled:(stalled +. 0.002) n
-      end
-    in
-    wait ~stalled:0. (qlen ()));
+        if n >= high_water then
+          if n < last then drain ~stalled:0. n
+          else if stalled >= stall_limit then drop_stalled ()
+          else begin
+            (* poll, not select: a busy server's fds outgrow FD_SETSIZE *)
+            (try
+               ignore
+                 (Netpoll.wait ~fds:[| conn.fd |] ~events:[| Netpoll.writable |]
+                    ~revents:[| 0 |] ~nfds:1 ~timeout_ms:500)
+             with Failure _ -> ());
+            drain ~stalled:(stalled +. 0.5) n
+          end
+    end
+  in
+  drain ~stalled:0. (qlen ());
   send t conn response
 
 (** Send a replica its bootstrap stream.  The sink is already registered,
@@ -1370,96 +1243,6 @@ let detach_peer t conn =
     Server_stats.on_replica_disconnect t.stats
   | None -> ()
 
-(* ---------------- thread model ---------------- *)
-
-(** Blocking read of the next complete text frame through the connection's
-    decoder.  [SO_RCVTIMEO] surfaces idle as EAGAIN/ETIMEDOUT: an exempt
-    connection just retries (its partial bytes wait safely in the
-    decoder), anyone else propagates the timeout to the reader's error
-    arm.  Mirrors the [wire.recv] / [wire.recv.drop] failpoints of
-    {!Wire.read_frame} per complete frame. *)
-let read_frame_conn t conn scratch =
-  let rec next_frame () =
-    match Wire.Decoder.next conn.dec with
-    | Some f -> f
-    | None ->
-      let n =
-        try Unix.read conn.fd scratch 0 (Bytes.length scratch)
-        with
-        | Unix.Unix_error (Unix.ECONNRESET, _, _) -> 0
-        | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _)
-          as e ->
-          if idle_exempt t conn then -1
-          else begin
-            Server_stats.on_idle_timeout t.stats;
-            raise e
-          end
-      in
-      if n = 0 then raise Wire.Closed;
-      if n > 0 then begin
-        conn.last_activity <- Unix.gettimeofday ();
-        Wire.Decoder.feed conn.dec scratch 0 n
-      end;
-      next_frame ()
-  in
-  let rec frame () =
-    let kind, payload = next_frame () in
-    (try Fault.point "wire.recv" with Fault.Injected _ -> raise Wire.Closed);
-    if (try Fault.skip "wire.recv.drop" with Fault.Injected _ -> raise Wire.Closed)
-    then frame ()
-    else
-      match kind with
-      | Wire.Text -> payload
-      | Wire.Raw ->
-        raise
-          (Wire.Protocol_error
-             "unexpected raw frame (connection did not negotiate them)")
-  in
-  frame ()
-
-(** Thread-model teardown: detach the session/sink, drain the writer,
-    close the socket. *)
-let thread_teardown t conn =
-  detach_peer t conn;
-  Mutex.lock conn.out_mu;
-  conn.closing <- true;
-  Condition.signal conn.out_cond;
-  Mutex.unlock conn.out_mu;
-  (match conn.writer with Some th -> Thread.join th | None -> ());
-  (try Unix.close conn.fd with Unix.Unix_error _ -> ());
-  Mutex.lock t.conns_mu;
-  Hashtbl.remove t.conns conn.conn_id;
-  Mutex.unlock t.conns_mu;
-  Server_stats.on_disconnect t.stats;
-  Log.debug (fun f -> f "conn %d: closed" conn.conn_id)
-
-let reader_loop t conn =
-  let scratch = Bytes.create 65536 in
-  (try
-     while true do
-       let payload = read_frame_conn t conn scratch in
-       Server_stats.on_frame_in t.stats ~bytes:(String.length payload + 4);
-       dispatch_frame t conn payload
-     done
-   with
-  | Wire.Closed | Goodbye -> ()
-  | Wire.Protocol_error m ->
-    Server_stats.on_error t.stats;
-    Log.debug (fun f -> f "conn %d: protocol error: %s" conn.conn_id m);
-    send t conn (Wire.Error { id = 0; message = m })
-  | Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK | Unix.ETIMEDOUT), _, _) ->
-    Log.debug (fun f -> f "conn %d: read timeout" conn.conn_id);
-    send t conn (Wire.Error { id = 0; message = "read timeout; closing" })
-  | Unix.Unix_error _ -> ()
-  | exn ->
-    (* any other decode/dispatch failure: the teardown below must still
-       run, or the session and fd leak and the writer waits forever *)
-    Server_stats.on_error t.stats;
-    Log.debug (fun f ->
-        f "conn %d: reader failed: %s" conn.conn_id (Printexc.to_string exn));
-    send t conn (Wire.Error { id = 0; message = Printexc.to_string exn }));
-  thread_teardown t conn
-
 let make_conn t ~fd ~home =
   Mutex.lock t.conns_mu;
   let conn_id = t.next_conn_id in
@@ -1470,7 +1253,6 @@ let make_conn t ~fd ~home =
       fd;
       outq = Queue.create ();
       out_mu = Mutex.create ();
-      out_cond = Condition.create ();
       closing = false;
       raw = false;
       in_flight = 0;
@@ -1484,8 +1266,6 @@ let make_conn t ~fd ~home =
       wbuf = Bytes.create 0;
       woff = 0;
       wlen = 0;
-      reader = None;
-      writer = None;
     }
   in
   Hashtbl.replace t.conns conn_id conn;
@@ -1493,18 +1273,9 @@ let make_conn t ~fd ~home =
   Server_stats.on_connect t.stats;
   conn
 
-let spawn_connection t fd =
-  Unix.setsockopt fd Unix.TCP_NODELAY true;
-  if t.config.read_timeout > 0. then
-    Unix.setsockopt_float fd Unix.SO_RCVTIMEO t.config.read_timeout;
-  let conn = make_conn t ~fd ~home:Home_threads in
-  conn.writer <- Some (Thread.create (fun () -> writer_loop t conn) ());
-  conn.reader <- Some (Thread.create (fun () -> reader_loop t conn) ());
-  Log.debug (fun f -> f "conn %d: accepted" conn.conn_id)
+(* ---------------- event loops ---------------- *)
 
-(* ---------------- event model ---------------- *)
-
-(** Event-model teardown, loop thread only. *)
+(** Connection teardown, loop thread only. *)
 let teardown_conn t lp conn =
   Hashtbl.remove lp.lp_conns conn.conn_id;
   detach_peer t conn;
@@ -1694,7 +1465,7 @@ let loop_run t lp =
       List.iter (teardown_conn t lp) !doomed;
       Server_stats.on_loop_iteration t.stats ~fds:!n;
       (match
-         Netpoll.wait t.netpoll ~fds:lp.lp_fds ~events:lp.lp_events
+         Netpoll.wait ~fds:lp.lp_fds ~events:lp.lp_events
            ~revents:lp.lp_revents ~nfds:!n ~timeout_ms
        with
       | _ -> ()
@@ -1824,7 +1595,7 @@ let adopt_event_conn t fd =
   Unix.set_nonblock fd;
   let lp = t.loops.(t.next_loop mod Array.length t.loops) in
   t.next_loop <- t.next_loop + 1;
-  let conn = make_conn t ~fd ~home:(Home_loop lp.lp_index) in
+  let conn = make_conn t ~fd ~home:lp.lp_index in
   Mutex.lock lp.lp_mu;
   Queue.push conn lp.lp_incoming;
   let backlog = Queue.length lp.lp_incoming in
@@ -1863,11 +1634,7 @@ let accept_loop t =
               t.config.max_conns);
         try Unix.close fd with Unix.Unix_error _ -> ()
       end
-      else begin
-        match t.config.conn_model with
-        | Threads -> spawn_connection t fd
-        | Event -> adopt_event_conn t fd
-      end
+      else adopt_event_conn t fd
     | exception Unix.Unix_error ((Unix.EBADF | Unix.EINVAL | Unix.ECONNABORTED), _, _)
       ->
       () (* listen socket closed during shutdown, or a racy abort *)
@@ -1910,29 +1677,25 @@ let start ?(config = default_config) sys =
       Some hub
     | _ -> None
   in
-  let netpoll = Netpoll.choose () in
   let loops =
-    match config.conn_model with
-    | Threads -> [||]
-    | Event ->
-      Array.init (max 1 config.event_loops) (fun i ->
-          let r, w = Unix.pipe () in
-          Unix.set_nonblock r;
-          Unix.set_nonblock w;
-          {
-            lp_index = i;
-            lp_wake_r = r;
-            lp_wake_w = w;
-            lp_waked = Atomic.make false;
-            lp_mu = Mutex.create ();
-            lp_incoming = Queue.create ();
-            lp_conns = Hashtbl.create 256;
-            lp_fds = Array.make 64 r;
-            lp_events = Array.make 64 0;
-            lp_revents = Array.make 64 0;
-            lp_slots = Array.make 64 None;
-            lp_thread = None;
-          })
+    Array.init (max 1 config.event_loops) (fun i ->
+        let r, w = Unix.pipe () in
+        Unix.set_nonblock r;
+        Unix.set_nonblock w;
+        {
+          lp_index = i;
+          lp_wake_r = r;
+          lp_wake_w = w;
+          lp_waked = Atomic.make false;
+          lp_mu = Mutex.create ();
+          lp_incoming = Queue.create ();
+          lp_conns = Hashtbl.create 256;
+          lp_fds = Array.make 64 r;
+          lp_events = Array.make 64 0;
+          lp_revents = Array.make 64 0;
+          lp_slots = Array.make 64 None;
+          lp_thread = None;
+        })
   in
   let t =
     {
@@ -1958,7 +1721,6 @@ let start ?(config = default_config) sys =
       fp_enqueued = 0;
       fp_completed = 0;
       fp_poke_stmts = 0;
-      netpoll;
       loops;
       next_loop = 0;
       loops_running = true;
@@ -2005,41 +1767,28 @@ let start ?(config = default_config) sys =
         (Replication.Replica.start ~host ~port:rport
            ~replica_id:config.replica_id cb)
   | None -> ());
-  if config.batch_writes then begin
-    t.drainer <- Some (Thread.create (fun () -> drainer_loop t) ());
-    (* fast-path workers only make sense alongside the drainer (the ticket
-       barrier and delegated pokes live there); a replica rejects writes
-       and the serialize-reads baseline must serialize everything *)
-    if
-      config.fastpath && (not config.serialize_reads)
-      && config.replica_of = None
-    then
-      t.fp_workers <-
-        List.init
-          (max 1 config.fastpath_workers)
-          (fun _ -> Thread.create (fun () -> fp_worker_loop t) ())
-  end;
+  t.drainer <- Some (Thread.create (fun () -> drainer_loop t) ());
+  (* a replica rejects writes: no fast-path workers *)
+  if config.fastpath && config.replica_of = None then
+    t.fp_workers <-
+      List.init
+        (max 1 config.fastpath_workers)
+        (fun _ -> Thread.create (fun () -> fp_worker_loop t) ());
   Array.iter
     (fun lp -> lp.lp_thread <- Some (Thread.create (fun () -> loop_run t lp) ()))
     t.loops;
   t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
   Log.info (fun f ->
-      f "listening on %s:%d%s%s" config.host bound_port
-        (match config.conn_model with
-        | Event ->
-          Printf.sprintf " (event core: %d loop(s), %s)" (Array.length t.loops)
-            (Netpoll.engine_name netpoll)
-        | Threads -> " (thread-per-connection)")
+      f "listening on %s:%d (%d event loop(s))%s" config.host bound_port
+        (Array.length t.loops)
         (match config.replica_of with
         | Some (h, p) -> Printf.sprintf " (read replica of %s:%d)" h p
         | None -> ""));
   t
 
 (** Graceful shutdown: stop accepting, drain the batch queue so accepted
-    writes still answer, then retire the connection owners — event loops
-    flush remaining output before closing their sockets; thread-model
-    readers are kicked off their blocking reads and their writers drain.
-    Idempotent. *)
+    writes still answer, then retire the event loops, which flush
+    remaining output before closing their sockets.  Idempotent. *)
 let stop t =
   if t.running then begin
     t.running <- false;
@@ -2049,7 +1798,7 @@ let stop t =
       Replication.Replica.stop r;
       t.replica <- None
     | None -> ());
-    (* wake readers blocked on batch-queue backpressure and the drainer's
+    (* wake loops blocked on batch-queue backpressure and the drainer's
        empty-queue wait, so both see [running = false] *)
     Mutex.lock t.batch_mu;
     Condition.broadcast t.batch_space;
@@ -2074,7 +1823,8 @@ let stop t =
     List.iter Thread.join t.fp_workers;
     t.fp_workers <- [];
     (* event loops: only now may they exit — their final pass flushes
-       everything the drainer just fanned out *)
+       everything the drainer just fanned out and closes every socket *)
+    let drained = active_conns t in
     t.loops_running <- false;
     Array.iter wake t.loops;
     Array.iter
@@ -2083,19 +1833,5 @@ let stop t =
         (try Unix.close lp.lp_wake_r with Unix.Unix_error _ -> ());
         (try Unix.close lp.lp_wake_w with Unix.Unix_error _ -> ()))
       t.loops;
-    (* thread model: kick readers off their blocking reads and join *)
-    let conns =
-      Mutex.lock t.conns_mu;
-      let cs = Hashtbl.fold (fun _ c acc -> c :: acc) t.conns [] in
-      Mutex.unlock t.conns_mu;
-      cs
-    in
-    List.iter
-      (fun c ->
-        try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE with Unix.Unix_error _ -> ())
-      conns;
-    List.iter
-      (fun c -> match c.reader with Some th -> Thread.join th | None -> ())
-      conns;
-    Log.info (fun f -> f "stopped; %d connection(s) drained" (List.length conns))
+    Log.info (fun f -> f "stopped; %d connection(s) drained" drained)
   end

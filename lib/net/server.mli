@@ -1,42 +1,34 @@
 (** TCP server exposing one shared {!Youtopia.System.t}.
 
-    Two connection models ([config.conn_model]) share one dispatch and
-    batching core.  The default {b event model} runs one accept thread
-    plus [event_loops] workers, each multiplexing its share of
-    non-blocking sockets via {!Netpoll} ([poll(2)] stub, sharded-[select]
-    fallback): reads feed the incremental {!Wire.Decoder}, complete frames
-    dispatch inline on the loop, outbound frames queue per connection
-    (bounded by [max_outq]) and flush under [POLLOUT], and a self-pipe
-    wakeup hands drainer fan-outs and coordination pushes back to the
-    owning loop.  A connection with [max_in_flight] batched writes
-    outstanding loses read interest until responses drain (backpressure).
-    Idle deadlines are swept loop-side and exempt connections whose user
-    owns a parked pending query, plus replica links.  The {b thread model}
-    ([Threads], the ablation baseline) keeps a reader + writer thread per
-    connection with [SO_RCVTIMEO] idle wakeups and the same exemption.
+    One accept thread plus [event_loops] workers, each multiplexing its
+    share of non-blocking sockets via {!Netpoll} (a [poll(2)] stub): reads
+    feed the incremental {!Wire.Decoder}, complete frames dispatch inline
+    on the loop, outbound frames queue per connection (bounded by
+    [max_outq]) and flush under [POLLOUT], and a self-pipe wakeup hands
+    drainer fan-outs and coordination pushes back to the owning loop.  A
+    connection with [max_in_flight] batched writes outstanding loses read
+    interest until responses drain (backpressure).  Idle deadlines are
+    swept loop-side and exempt connections whose user owns a parked
+    pending query, plus replica links.
 
     Engine work runs under a writer-preferring {!Rwlock}: read-only
     scripts and admin probes share the engine.  Writes go through a
     {b batching executor}: writer requests enqueue into a bounded batch
-    queue and a single drainer thread takes the exclusive lock once per
-    batch, executes every request with per-request error isolation, emits
-    one WAL group flush ({!Relational.Wal.with_batch}) and one coordinator
-    poke for the whole batch, then fans responses out — amortising lock
-    acquisition, log flush/fsync and coordination re-evaluation across
-    concurrent writers.  [batch_writes = false] restores the per-request
-    exclusive baseline.  Pushes are handed off from the coordinator's
-    fulfilment path straight onto the owning connection's outbound queue
-    via {!Youtopia.Session.set_listener}, so clients receive coordination
+    queue and a single drainer thread takes whatever is queued (up to
+    [max_batch], with no linger timer), holds the exclusive lock once for
+    the batch, executes every request with per-request error isolation,
+    emits one WAL group flush ({!Relational.Wal.with_batch}) and one
+    coordinator poke for the whole batch, then fans responses out.  Group
+    commit comes naturally: while one batch executes, the next one
+    accumulates.  Pushes are handed off from the coordinator's fulfilment
+    path straight onto the owning connection's outbound queue via
+    {!Youtopia.Session.set_listener}, so clients receive coordination
     answers without polling.
 
     Connections negotiated at protocol ≥ 2 receive bulky payloads
     (replication chunks, large result sets) as raw-bytes frames. *)
 
 val log_src : Logs.src
-
-type conn_model =
-  | Event  (** poll-based event loops multiplexing non-blocking sockets *)
-  | Threads  (** reader + writer thread per connection (ablation baseline) *)
 
 type config = {
   host : string;
@@ -50,29 +42,17 @@ type config = {
       (** frames a connection may have queued outbound before it is
           dropped as a slow consumer (a peer that stops reading) *)
   banner : string;  (** sent back in the WELCOME frame *)
-  serialize_reads : bool;
-      (** run read-only scripts in the exclusive section too — the
-          global-mutex baseline for the concurrency benchmark *)
-  batch_writes : bool;
-      (** writer requests go through the batching drainer instead of each
-          taking the exclusive section alone (default [true]) *)
   fastpath : bool;
       (** route write scripts the {!Sql.Confluence} classifier proves
           invariant-confluent down the shared-lock latch path
           ({!Relational.Fastpath}) instead of the exclusive batching
-          executor.  Requires [batch_writes]; ignored under
-          [serialize_reads] (the global-mutex baseline serializes
-          everything) and in replica mode.  Default from the
+          executor.  Ignored in replica mode.  Default from the
           [YOUTOPIA_FASTPATH] environment variable ([true] unless set to
           0/false/off/no) *)
   fastpath_workers : int;
       (** threads executing fast-path requests concurrently under the
           shared engine lock (default 2) *)
   max_batch : int;  (** most write requests the drainer executes per batch *)
-  max_delay_us : int;
-      (** µs the drainer holds a {e lone} queued write open for company;
-          once requests are piled up it drains immediately — executing one
-          batch is the accumulation window for the next *)
   max_batchq : int;
       (** bound on queued write requests; a full queue blocks the
           enqueuing thread (backpressure, not an error) *)
@@ -86,21 +66,19 @@ type config = {
           ({!Wire.readonly_redirect}), and a background loop bootstraps
           from a streamed snapshot then tails the primary's WAL *)
   replica_id : string;  (** name announced in the replica handshake *)
-  conn_model : conn_model;
-  event_loops : int;
-      (** event-loop workers under the [Event] model (default 1) *)
+  event_loops : int;  (** event-loop workers (default 1) *)
   max_in_flight : int;
       (** batched writes one connection may have outstanding before the
-          owning loop drops its read interest (event-model backpressure) *)
+          owning loop drops its read interest (backpressure) *)
   max_conns : int;
       (** refuse accepts beyond this many live connections; 0 = unlimited *)
 }
 
 val default_config : config
 (** 127.0.0.1:7077, 1 MiB frames, no read timeout, 1024-frame outbound
-    queues; batching on (32 requests / 1000 µs window / 256-deep queue),
-    durability untouched; not a replica.  Event model, 1 loop, 64 writes
-    in flight per connection, unlimited connections. *)
+    queues; batches of up to 32 requests from a 256-deep queue,
+    durability untouched; not a replica.  1 event loop, 64 writes in
+    flight per connection, unlimited connections. *)
 
 type t
 

@@ -87,8 +87,8 @@ type t = {
   mutable readonly_rejections : int;
       (** writes a read-only replica redirected to the primary *)
   (* event-loop core *)
-  mutable loops : int;  (** event loops running (0 = thread model) *)
-  mutable loop_iterations : int;  (** poll/select wait cycles across loops *)
+  mutable loops : int;  (** event loops running *)
+  mutable loop_iterations : int;  (** poll wait cycles across loops *)
   mutable loop_wakeups : int;  (** self-pipe wakeups drained *)
   mutable loop_fds_max : int;  (** most fds one loop has multiplexed *)
   mutable loop_adopt_backlog_max : int;

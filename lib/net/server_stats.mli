@@ -64,8 +64,8 @@ type snapshot = {
   repl_reconnects : int;
   readonly_rejections : int;
       (** writes this read-only replica redirected to the primary *)
-  loops : int;  (** event loops running (0 = thread model) *)
-  loop_iterations : int;  (** poll/select wait cycles across loops *)
+  loops : int;  (** event loops running *)
+  loop_iterations : int;  (** poll wait cycles across loops *)
   loop_wakeups : int;  (** self-pipe wakeups drained *)
   loop_fds_max : int;  (** most fds one loop has multiplexed *)
   loop_adopt_backlog_max : int;
@@ -127,7 +127,7 @@ val on_repl_reconnect : t -> unit
 val on_readonly_rejected : t -> unit
 
 val set_loops : t -> int -> unit
-(** Number of event loops this server runs (0 under the thread model). *)
+(** Number of event loops this server runs. *)
 
 val on_loop_iteration : t -> fds:int -> unit
 (** One wait cycle of a loop currently multiplexing [fds] fds (including

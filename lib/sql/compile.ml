@@ -243,10 +243,13 @@ and compile_select cat (s : Ast.select) : Plan.t =
       (fun acc (_, _, schema) -> acc + Schema.arity schema)
       0 sources
   in
+  (* literal-only subexpressions fold to constants ([-5], [5 + 0], [(5)]),
+     so [v = -5] pins like [v = 5] in the planner and in
+     [Plan.constraints]; anything whose evaluation raises stays unfolded *)
   let where =
     match s.Ast.where with
     | None -> Expr.Const (Value.Bool true)
-    | Some w -> translate_expr cat env w
+    | Some w -> Expr.const_fold (translate_expr cat env w)
   in
   (* conjuncts touching only the inner block go to the planner; the rest
      filter after the outer joins *)

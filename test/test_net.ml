@@ -218,7 +218,6 @@ let test_plain_sql_over_wire () =
           check string_t "ping after error" "still-here"
             (Net.Client.ping ~payload:"still-here" c)))
 
-(* shared across both connection models *)
 let e2e_coordination server port =
       let alice = Net.Client.connect ~port ~user:"alice" () in
       let bob = Net.Client.connect ~port ~user:"bob" () in
@@ -269,15 +268,6 @@ let e2e_coordination server port =
             (s.Net.Server_stats.bytes_in > 0 && s.Net.Server_stats.bytes_out > 0))
 
 let test_e2e_coordination_with_push () = with_server e2e_coordination
-
-let test_e2e_coordination_threads () =
-  let config =
-    { Net.Server.default_config with
-      Net.Server.port = 0;
-      conn_model = Net.Server.Threads;
-    }
-  in
-  with_server ~config e2e_coordination
 
 let test_cancel_over_wire () =
   with_server (fun _server port ->
@@ -414,21 +404,41 @@ let test_slow_consumer_dropped () =
 
 (* ---------------- write batching ---------------- *)
 
+(* Stall the batch drainer inside its next batch: arm a delay on the
+   [server.batch] failpoint, send a holder write, wait until the drainer
+   has reached the failpoint, then disarm so that only this one batch
+   stalls.  Writes submitted during the next [hold] seconds queue up
+   behind it and drain together.  Returns a function that waits for the
+   holder's ack.  The server needs a [Hold] table and the fast path off,
+   so the holder's insert takes the drainer. *)
+let hold_drainer ~port ~hold =
+  Fault.disarm_all ();
+  Fault.arm "server.batch" (Fault.Delay hold);
+  let holder = Net.Client.connect ~port ~user:"holder" () in
+  let th =
+    Thread.create
+      (fun () -> ignore (Net.Client.submit holder "INSERT INTO Hold VALUES (1)"))
+      ()
+  in
+  let deadline = Unix.gettimeofday () +. 5. in
+  while Fault.hits "server.batch" = 0 && Unix.gettimeofday () < deadline do
+    Thread.delay 0.005
+  done;
+  Fault.disarm "server.batch";
+  fun () ->
+    Thread.join th;
+    Net.Client.close holder
+
+(* the write-batching tests are about the exclusive batching executor:
+   keep confluent inserts from routing around it onto the fast path *)
+let drainer_config =
+  { Net.Server.default_config with Net.Server.port = 0; fastpath = false }
+
 (* Concurrent writers against the batching drainer: every insert lands,
    every write request is accounted to a batch, and the admin probe
    exposes the new pipeline counters. *)
 let test_batched_writes_e2e () =
-  let config =
-    { Net.Server.default_config with
-      Net.Server.port = 0;
-      max_batch = 16;
-      max_delay_us = 5_000;
-      (* this test is about the exclusive batching executor; keep the
-         confluent inserts from routing around it *)
-      fastpath = false;
-    }
-  in
-  with_server ~config (fun server port ->
+  with_server ~config:{ drainer_config with max_batch = 16 } (fun server port ->
       let c0 = Net.Client.connect ~port ~user:"ddl" () in
       (match Net.Client.submit c0 "CREATE TABLE Log (id INT, who TEXT)" with
       | Net.Wire.Sql_result _ -> ()
@@ -489,14 +499,7 @@ let test_batched_writes_e2e () =
    error alone: concurrent good writes in the same drainer commit, and the
    failing client's connection stays usable. *)
 let test_batch_error_isolation () =
-  let config =
-    { Net.Server.default_config with
-      Net.Server.port = 0;
-      max_batch = 8;
-      max_delay_us = 20_000;  (* wide window: both requests share a batch *)
-    }
-  in
-  with_server ~config (fun _server port ->
+  with_server ~config:drainer_config (fun server port ->
       let good = Net.Client.connect ~port ~user:"good" () in
       let bad = Net.Client.connect ~port ~user:"bad" () in
       Fun.protect
@@ -504,9 +507,16 @@ let test_batch_error_isolation () =
           Net.Client.close good;
           Net.Client.close bad)
         (fun () ->
-          (match Net.Client.submit good "CREATE TABLE Ok (id INT)" with
-          | Net.Wire.Sql_result _ -> ()
+          (match
+             Net.Client.submit good
+               "CREATE TABLE Ok (id INT); CREATE TABLE Hold (id INT)"
+           with
+          | Net.Wire.Multi _ -> ()
           | _ -> Alcotest.fail "create should succeed");
+          let s0 = Net.Server_stats.snapshot (Net.Server.stats server) in
+          (* both requests queue behind a held batch, so they share the
+             next one *)
+          let release = hold_drainer ~port ~hold:0.5 in
           let results = Array.make 2 (Ok ()) in
           let run i c sql =
             Thread.create
@@ -521,6 +531,10 @@ let test_batch_error_isolation () =
           let t1 = run 1 bad "INSERT INTO Missing VALUES (1)" in
           Thread.join t0;
           Thread.join t1;
+          release ();
+          let s1 = Net.Server_stats.snapshot (Net.Server.stats server) in
+          check int "holder batch + one shared batch" (s0.batches + 2)
+            s1.Net.Server_stats.batches;
           (match results.(0) with
           | Ok () -> ()
           | Error m -> Alcotest.failf "good write poisoned by batchmate: %s" m);
@@ -578,47 +592,6 @@ let test_wire_dml_triggers_poke () =
           | Some n ->
             check string_t "bob fulfilled by wire DML" "bob" n.Core.Events.owner
           | None -> Alcotest.fail "bob never got his push"))
-
-(* The per-request baseline path (batching off) keeps the same observable
-   behaviour: writes commit and wire DML still pokes. *)
-let test_unbatched_path_equivalent () =
-  let config =
-    { Net.Server.default_config with Net.Server.port = 0; batch_writes = false }
-  in
-  with_server ~config (fun server port ->
-      let alice = Net.Client.connect ~port ~user:"alice" () in
-      let bob = Net.Client.connect ~port ~user:"bob" () in
-      Fun.protect
-        ~finally:(fun () ->
-          Net.Client.close alice;
-          Net.Client.close bob)
-        (fun () ->
-          (match
-             Net.Client.submit alice
-               (Travel.Workload.pair_sql ~user:"alice" ~friend:"bob"
-                  ~dest:"Nowhere")
-           with
-          | Net.Wire.Registered _ -> ()
-          | _ -> Alcotest.fail "alice should park");
-          (match
-             Net.Client.submit bob
-               (Travel.Workload.pair_sql ~user:"bob" ~friend:"alice"
-                  ~dest:"Nowhere")
-           with
-          | Net.Wire.Registered _ -> ()
-          | _ -> Alcotest.fail "bob should park");
-          (match
-             Net.Client.submit bob
-               "INSERT INTO Flights VALUES (998, 'Lima', 'Nowhere', 3, 90.0, 2)"
-           with
-          | Net.Wire.Sql_result _ -> ()
-          | _ -> Alcotest.fail "insert should be a SQL result");
-          (match Net.Client.wait_notification ~timeout:5. alice with
-          | Some _ -> ()
-          | None -> Alcotest.fail "alice never got her push (unbatched)");
-          let s = Net.Server_stats.snapshot (Net.Server.stats server) in
-          check int "no drainer batches on the baseline path" 0
-            s.Net.Server_stats.batches))
 
 let test_poll_partial_frame_nonblocking () =
   (* hand-rolled server: handshake, then dribble a PUSH frame in two
@@ -870,6 +843,60 @@ let test_client_raw_result () =
               (Astring.String.is_infix ~affix:big s)
           | _ -> Alcotest.fail "expected a SQL result"))
 
+(* ---------------- natural batching ---------------- *)
+
+(* The drainer has no linger timer: a lone write is acked by a batch of
+   its own, while writes that queue behind a busy drainer — here, four
+   pipelined on one connection — all drain in the next batch. *)
+let test_natural_batching () =
+  with_server ~config:drainer_config (fun server port ->
+      let snap () = Net.Server_stats.snapshot (Net.Server.stats server) in
+      let c0 = Net.Client.connect ~port ~user:"ddl" () in
+      Fun.protect
+        ~finally:(fun () -> Net.Client.close c0)
+        (fun () ->
+          ignore
+            (Net.Client.submit c0
+               "CREATE TABLE Pipe (id INT); CREATE TABLE Hold (id INT)");
+          let s0 = snap () in
+          ignore (Net.Client.submit c0 "INSERT INTO Pipe VALUES (0)");
+          let s1 = snap () in
+          check int "lone write: one more batch" (s0.batches + 1)
+            s1.Net.Server_stats.batches;
+          check int "lone write: a batch of one"
+            (s0.batch_size_hist.(0) + 1)
+            s1.Net.Server_stats.batch_size_hist.(0);
+          let fd = raw_connect port in
+          Fun.protect
+            ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+            (fun () ->
+              Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+              ignore (raw_hello fd "pipe");
+              let release = hold_drainer ~port ~hold:0.5 in
+              for id = 1 to 4 do
+                raw_submit fd id (Printf.sprintf "INSERT INTO Pipe VALUES (%d)" id)
+              done;
+              for id = 1 to 4 do
+                match
+                  Net.Wire.decode_response_kind (Net.Wire.read_frame_kind fd)
+                with
+                | Net.Wire.Result { id = id'; _ } when id' = id -> ()
+                | _ -> Alcotest.failf "expected RESULT %d" id
+              done;
+              release ());
+          let s2 = snap () in
+          check int "holder batch + one pipelined batch" (s1.batches + 2)
+            s2.Net.Server_stats.batches;
+          (* bucket 2 holds batches of 3-4 requests *)
+          check int "the four pipelined writes shared a batch"
+            (s1.batch_size_hist.(2) + 1)
+            s2.Net.Server_stats.batch_size_hist.(2);
+          match Net.Client.submit c0 "SELECT COUNT(*) FROM Pipe" with
+          | Net.Wire.Sql_result s ->
+            check bool "every pipelined write landed" true
+              (Astring.String.is_infix ~affix:"5" s)
+          | _ -> Alcotest.fail "count should be a SQL result"))
+
 (* ---------------- event core ---------------- *)
 
 (* frames dribbled a byte at a time must reassemble across many poll
@@ -935,44 +962,12 @@ let test_multi_loop_clients () =
           check int "two loops" 2 s.Net.Server_stats.loops;
           check bool "loops iterated" true (s.Net.Server_stats.loop_iterations > 0)))
 
-let test_select_fallback_engine () =
-  Unix.putenv "YOUTOPIA_NETPOLL" "select";
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "YOUTOPIA_NETPOLL" "poll")
-    (fun () ->
-      with_server (fun _server port ->
-          let c = Net.Client.connect ~port ~user:"sel" () in
-          Fun.protect
-            ~finally:(fun () -> Net.Client.close c)
-            (fun () ->
-              ignore (Net.Client.submit c "CREATE TABLE S (id INT)");
-              ignore (Net.Client.submit c "INSERT INTO S VALUES (1)");
-              check string_t "select engine serves" "ok"
-                (Net.Client.ping ~payload:"ok" c))))
-
-let test_netpoll_engines_agree () =
-  List.iter
-    (fun engine ->
-      with_socketpair (fun a b ->
-          ignore (Unix.write_substring b "!" 0 1);
-          let fds = [| a |] in
-          let events = [| Net.Netpoll.readable lor Net.Netpoll.writable |] in
-          let revents = [| 0 |] in
-          let n =
-            Net.Netpoll.wait engine ~fds ~events ~revents ~nfds:1
-              ~timeout_ms:1000
-          in
-          let name = Net.Netpoll.engine_name engine in
-          check bool (name ^ " reports readiness") true (n >= 1);
-          check bool (name ^ " readable") true
-            (revents.(0) land Net.Netpoll.readable <> 0);
-          check bool (name ^ " writable") true
-            (revents.(0) land Net.Netpoll.writable <> 0)))
-    [ Net.Netpoll.Poll; Net.Netpoll.Select ]
-
 (* ---------------- idle deadlines ---------------- *)
 
-let idle_timeout_and_exemption config =
+let test_idle_exemption () =
+  let config =
+    { Net.Server.default_config with Net.Server.port = 0; read_timeout = 0.4 }
+  in
   with_server ~config (fun server port ->
       let alice = Net.Client.connect ~port ~user:"alice" () in
       let idler = raw_connect port in
@@ -1009,18 +1004,6 @@ let idle_timeout_and_exemption config =
           let s = Net.Server_stats.snapshot (Net.Server.stats server) in
           check bool "idle timeout counted" true
             (s.Net.Server_stats.idle_timeouts >= 1)))
-
-let test_idle_exemption_event () =
-  idle_timeout_and_exemption
-    { Net.Server.default_config with Net.Server.port = 0; read_timeout = 0.4 }
-
-let test_idle_exemption_threads () =
-  idle_timeout_and_exemption
-    { Net.Server.default_config with
-      Net.Server.port = 0;
-      read_timeout = 0.4;
-      conn_model = Net.Server.Threads;
-    }
 
 (* ---------------- failpoint seams ---------------- *)
 
@@ -1123,8 +1106,6 @@ let suite =
       test_wire_dml_triggers_poke;
     Alcotest.test_case "wire THEN-effect fulfilment pokes waiters" `Quick
       test_then_effect_fulfilment_pokes;
-    Alcotest.test_case "unbatched path equivalent" `Quick
-      test_unbatched_path_equivalent;
     Alcotest.test_case "poll buffers partial frames" `Quick
       test_poll_partial_frame_nonblocking;
     Alcotest.test_case "decoder reassembles at every split" `Quick
@@ -1141,14 +1122,8 @@ let suite =
     Alcotest.test_case "slow loris reassembled" `Quick test_slow_loris_survives;
     Alcotest.test_case "two event loops share clients" `Quick
       test_multi_loop_clients;
-    Alcotest.test_case "select fallback engine serves" `Quick
-      test_select_fallback_engine;
-    Alcotest.test_case "netpoll engines agree" `Quick test_netpoll_engines_agree;
     Alcotest.test_case "idle sweep spares parked owners (event)" `Quick
-      test_idle_exemption_event;
-    Alcotest.test_case "idle sweep spares parked owners (threads)" `Quick
-      test_idle_exemption_threads;
+      test_idle_exemption;
     Alcotest.test_case "accept failpoint refuses" `Quick test_accept_failpoint;
-    Alcotest.test_case "push e2e under thread model" `Quick
-      test_e2e_coordination_threads;
+    Alcotest.test_case "drainer batches naturally" `Quick test_natural_batching;
   ]

@@ -101,6 +101,74 @@ let test_extract_index_lookup () =
     "pk lookup key extracted" true
     (List.mem (0, v_int 3) (eqs_for plan "items"))
 
+(* Literal-only subexpressions fold before extraction: a negated,
+   zero-offset or parenthesised literal pins exactly like the bare one. *)
+let test_extract_folded_literals () =
+  let db = make_items () in
+  let cat = db.Database.catalog in
+  List.iter
+    (fun (pred, k) ->
+      let plan = compile cat ("SELECT id FROM Items WHERE " ^ pred) in
+      Alcotest.(check (list (pair int (testable Value.pp Value.equal))))
+        (pred ^ " pins") [ (1, v_int k) ] (eqs_for plan "items"))
+    [
+      ("grp = -5", -5);
+      ("grp = 5 + 0", 5);
+      ("grp = (5)", 5);
+      ("-(-5) = grp", 5);
+      ("grp = 2 * 3 - 1", 5);
+    ];
+  (* a literal expression that raises stays unfolded: no pin, and the
+     error still surfaces at execution, not at compile time *)
+  let plan = compile cat "SELECT id FROM Items WHERE grp = 1 / 0" in
+  Alcotest.(check (list (pair int (testable Value.pp Value.equal))))
+    "1 / 0 does not pin" [] (eqs_for plan "items");
+  match Executor.run cat plan with
+  | _ -> Alcotest.fail "division by zero must still raise at run time"
+  | exception Errors.Db_error _ -> ()
+
+(* Property: a compiled plan's pin set is invariant under the constant
+   rewrites [-k] (as [-(-(k))], which keeps the value), [k + 0] and [(k)],
+   nested in any order, on every equality conjunct. *)
+let prop_pins_invariant_under_const_rewrites =
+  let db = make_items () in
+  let cat = db.Database.catalog in
+  let lit k = if k < 0 then Printf.sprintf "(%d)" k else string_of_int k in
+  let rewrite text = function
+    | `Neg -> Printf.sprintf "-(-(%s))" text
+    | `Plus0 -> Printf.sprintf "%s + 0" text
+    | `Paren -> Printf.sprintf "(%s)" text
+  in
+  let gen =
+    QCheck.Gen.(
+      let rewrites = list_size (int_range 1 3) (oneofl [ `Neg; `Plus0; `Paren ]) in
+      pair
+        (pair (int_range (-50) 50) rewrites)
+        (pair (int_range (-50) 50) rewrites))
+  in
+  QCheck.Test.make ~name:"pin set invariant under constant rewrites"
+    ~count:200 (QCheck.make gen)
+    (fun ((g, rg), (i, ri)) ->
+      let sql grp id =
+        Printf.sprintf "SELECT tag FROM Items WHERE grp = %s AND id = %s" grp
+          id
+      in
+      let plain = compile cat (sql (lit g) (lit i)) in
+      let rewritten =
+        compile cat
+          (sql
+             (List.fold_left rewrite (lit g) rg)
+             (List.fold_left rewrite (lit i) ri))
+      in
+      let pins plan =
+        List.map
+          (fun (t, arity, eqs) -> (t, arity, List.sort compare eqs))
+          (Plan.constraints plan)
+      in
+      pins plain = pins rewritten
+      && List.mem (1, v_int g) (eqs_for plain "items")
+      && List.mem (0, v_int i) (eqs_for plain "items"))
+
 (* ------------------------------------------------------------------ *)
 (* Coordinator-level probing.  Ghost-partner pair queries park forever, so
    the only observable activity is which ones a poke retries. *)
@@ -236,6 +304,51 @@ let test_tuple_targeting () =
   ignore (Coordinator.poke coord);
   Alcotest.(check int) "DDL widens TB" (r0 + 7) stats.Stats.dirty_retries
 
+(* The unpinned-constant cliff: a [v = -k] reader files under its pin, so
+   a commit retries it only when the committed tuple carries -k. *)
+let test_negated_literal_targeting () =
+  let db = Database.create () in
+  let tc =
+    Database.create_table db
+      (Schema.make "TC"
+         [ Schema.column "fno" Ctype.TInt; Schema.column "v" Ctype.TInt ])
+  in
+  ignore (Table.insert tc [| v_int 1; v_int 0 |]);
+  let coord = Coordinator.create db in
+  Coordinator.declare_answer_relation coord
+    (Schema.make "R"
+       [ Schema.column "name" Ctype.TText; Schema.column "fno" Ctype.TInt ]);
+  for k = 1 to 4 do
+    let me = Printf.sprintf "neg%d" k in
+    match
+      Coordinator.submit coord
+        (Translate.of_sql db.Database.catalog ~owner:me
+           (Printf.sprintf
+              "SELECT '%s', fno INTO ANSWER R WHERE fno IN (SELECT fno FROM \
+               TC WHERE v = -%d) AND ('ghost_%s', fno) IN ANSWER R CHOOSE 1"
+              me k me))
+    with
+    | Coordinator.Registered _ -> ()
+    | _ -> Alcotest.fail "query should park (ghost partner)"
+  done;
+  ignore (Coordinator.poke coord);
+  let stats = Coordinator.stats coord in
+  let r0 = stats.Stats.dirty_retries in
+  let commit fno v =
+    Database.with_txn db (fun txn ->
+        ignore (Txn.insert txn tc [| v_int fno; v_int v |]));
+    ignore (Coordinator.poke coord)
+  in
+  commit 10 (-2);
+  Alcotest.(check int) "v = -2 retries only its reader" (r0 + 1)
+    stats.Stats.dirty_retries;
+  commit 11 2;
+  Alcotest.(check int) "v = 2 matches no negated pin" (r0 + 1)
+    stats.Stats.dirty_retries;
+  commit 12 (-9);
+  Alcotest.(check int) "unpinned value retries nobody" (r0 + 1)
+    stats.Stats.dirty_retries
+
 let test_remove_then_poke () =
   let db, coord, ta, _ = make_coord () in
   let qa = submit_pending coord db ~me:"ua" ~table:"TA" ~dest:"Paris" in
@@ -360,10 +473,15 @@ let suite =
       test_extract_through_stable_ops;
     Alcotest.test_case "extract: pk point lookup" `Quick
       test_extract_index_lookup;
+    Alcotest.test_case "extract: folded literals pin" `Quick
+      test_extract_folded_literals;
+    QCheck_alcotest.to_alcotest prop_pins_invariant_under_const_rewrites;
     Alcotest.test_case "probe: partial grounding + value norm" `Quick
       test_probe_partial_grounding;
     Alcotest.test_case "poke: tuple-driven retry targeting" `Quick
       test_tuple_targeting;
+    Alcotest.test_case "poke: negated-literal pins target retries" `Quick
+      test_negated_literal_targeting;
     Alcotest.test_case "poke: remove then poke" `Quick test_remove_then_poke;
     Alcotest.test_case "probe: ans-atom templates indexed" `Quick
       test_probe_ans_atoms;

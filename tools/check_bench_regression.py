@@ -13,12 +13,16 @@ names ending in `_qps` or `_speedup`.  A metric fails when
 Absolute `_qps` numbers depend on how fast the runner's disk happens to be
 that minute (a shared-disk fsync costs anywhere from 100 to 500 us), so
 they get a wider tolerance: `--qps-tolerance` (default 0.60).  `_speedup`
-ratios are self-normalizing — batched and per-request variants hit the
-same disk in the same run — so they carry the tight `--tolerance` and are
-the gate's real teeth.  The committed baseline is already a conservative
-floor (per-metric minimum over several runs).  Metrics present in one
-file but not the other are reported but never fail the gate (new metrics
-must not break old baselines and vice versa).
+ratios are self-normalizing — both sides of the ratio come from the same
+run — so they carry the tight `--tolerance` and are the gate's real
+teeth.  The committed baseline is already a conservative
+floor (per-metric minimum over several runs).
+
+A gated baseline metric missing from the current run FAILS the gate:
+deleting a bench variant must not silently retire its floor.  Retiring a
+gate means deleting its row from the baseline file.  Metrics new in the
+current run are reported and never fail (new metrics must not break old
+baselines).
 """
 
 import argparse
@@ -57,7 +61,9 @@ def main():
         if not gated(metric):
             continue
         if metric not in cur:
-            print(f"  SKIP {metric}: missing from current run")
+            print(f"     MISSING {metric}: gated in the baseline, absent from "
+                  f"the current run")
+            failures.append(metric)
             continue
         b, c = base[metric], cur[metric]
         tol = args.tolerance if metric.endswith("_speedup") else args.qps_tolerance
@@ -71,8 +77,8 @@ def main():
             print(f"  NEW {metric}: {cur[metric]:.4g} (no baseline)")
 
     if failures:
-        print(f"FAIL: {len(failures)} metric(s) regressed beyond tolerance: "
-              f"{', '.join(failures)}")
+        print(f"FAIL: {len(failures)} metric(s) missing or regressed beyond "
+              f"tolerance: {', '.join(failures)}")
         return 1
     print("PASS: no gated metric regressed beyond tolerance")
     return 0
